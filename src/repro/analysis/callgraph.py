@@ -518,6 +518,10 @@ class CallGraph:
             self._note_unresolved(func, node, "<expr>()", "dynamic-call")
             return []
         name = callee.attr
+        if _is_super_call(callee.value) and func.is_method:
+            resolved = self._super_targets(func.class_qualname, name)
+            if resolved is not None:
+                return resolved
         receivers = self._receiver_classes(func, callee.value, local_types)
         if receivers is SELF:
             targets = self.virtual_targets(func.class_qualname, name)
@@ -553,6 +557,29 @@ class CallGraph:
             )
             return list(candidates)
         self._note_unresolved(func, node, ".%s()" % name, "unknown-name")
+        return []
+
+    def _super_targets(self, class_qualname, name):
+        """Static ``super().name`` resolution through the in-project MRO.
+
+        Returns the next ancestor's method, ``[]`` when every base is an
+        in-project class or a builtin and none defines ``name`` (the
+        call lands in e.g. ``Exception.__init__``), or None when an
+        external base leaves the target unknown.
+        """
+        mro = self.mro(class_qualname)
+        for qual in mro[1:]:
+            if name in self.classes[qual].methods:
+                return [self.classes[qual].methods[name]]
+        for qual in mro:
+            info = self.classes[qual]
+            for chain in info.base_names:
+                if chain and len(chain) == 1 and _is_builtin_name(chain[0]):
+                    continue
+                if not chain or not isinstance(
+                    self.resolve_symbol(info.module.module, chain), ClassInfo
+                ):
+                    return None
         return []
 
     def _receiver_classes(self, func, receiver, local_types):
@@ -662,6 +689,14 @@ def _import_bindings(module):
                     alias.name,
                 )
     return bindings
+
+
+def _is_super_call(expr):
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "super"
+    )
 
 
 def _is_builtin_name(name):

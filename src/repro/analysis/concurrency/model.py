@@ -60,10 +60,11 @@ TASK_ROOTS = (
             "repro.timessd.ssd.TimeSSD.version_chain",
         ),
         description=(
-            "host request service: one task per NVMe command; subclass "
-            "overrides (TimeSSD, FlashGuardSSD) are reached by virtual "
-            "dispatch from these base entries; the async engine's slot "
-            "workers are the scheduled form of the same root"
+            "host request service: every frontend (write/read/trim, the "
+            "NVMe controller, the async engine's slot workers, TimeKits "
+            "restore) enters the serve_* core; subclass overrides "
+            "(TimeSSD, FlashGuardSSD) are reached by virtual dispatch "
+            "from these base entries"
         ),
     ),
     TaskRoot(
@@ -71,11 +72,11 @@ TASK_ROOTS = (
         category="background",
         qualnames=(
             "repro.ftl.ssd.BaseSSD._background_collect",
-            "repro.sched.tasks.background_gc_task",
         ),
         description=(
-            "idle-window garbage collection: victim selection, valid-page "
-            "migration, erase, release"
+            "idle-window garbage collection, run at host-request "
+            "admission: victim selection, valid-page migration, erase, "
+            "release"
         ),
     ),
     TaskRoot(
@@ -83,7 +84,6 @@ TASK_ROOTS = (
         category="background",
         qualnames=(
             "repro.timessd.ssd.TimeSSD._background_compress",
-            "repro.sched.tasks.background_compress_task",
         ),
         description=(
             "TimeSSD delta compression of cold version chains during "
@@ -95,7 +95,6 @@ TASK_ROOTS = (
         category="background",
         qualnames=(
             "repro.ftl.scrub.PatrolScrubber.run",
-            "repro.sched.tasks.background_scrub_task",
         ),
         description=(
             "idle-window patrol scrubbing: ladder-reads sealed blocks "
@@ -109,7 +108,6 @@ TASK_ROOTS = (
         category="background",
         qualnames=(
             "repro.timessd.ssd.TimeSSD._shrink_retention",
-            "repro.sched.tasks.retention_expiry_task",
         ),
         description=(
             "bloom/retention-window expiration: drops the oldest time "

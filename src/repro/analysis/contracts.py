@@ -96,7 +96,7 @@ CONTRACTS = (
             "that mutates media can destroy the history it serves"
         ),
         roots=(
-            "repro.nvme.controller.NVMeController._op_read",
+            "repro.ftl.ssd.BaseSSD.serve_read_at",
             "repro.ftl.ssd.BaseSSD.read",
             "repro.ftl.ssd.BaseSSD.read_range",
             "repro.timessd.ssd.TimeSSD.version_chain",
@@ -105,16 +105,17 @@ CONTRACTS = (
         waivers=(
             Waiver(
                 "repro.ftl.ssd.BaseSSD._before_host_request",
-                "idle-window housekeeping: GC may program/erase before "
-                "the host op is admitted, never as part of serving it; "
-                "the differential oracle (tests/integration) checks "
-                "read-your-writes across this boundary",
+                "idle-window housekeeping in the serve_* core: GC may "
+                "program/erase before the host op is admitted, never as "
+                "part of serving it; the differential oracle "
+                "(tests/integration) checks read-your-writes across this "
+                "boundary",
             ),
             Waiver(
                 "repro.ftl.ssd.BaseSSD._after_host_request",
-                "post-op housekeeping hook, runs after the read result "
-                "is already materialised; mutations here are background "
-                "work accounted to the device, not the read",
+                "the serve_* core's post-op hook, runs after the read "
+                "result is already materialised; mutations here are "
+                "background work accounted to the device, not the read",
             ),
             Waiver(
                 "repro.timessd.ssd.TimeSSD._after_host_request",

@@ -224,8 +224,8 @@ def ablate_queue_depth(depths=(1, 2, 4, 8, 16), reads=400, seed=41):
     keep more slot workers in flight, overlapping reads across
     channels/chips until the lane count saturates the scaling.  Each
     depth runs the identical seeded read stream through
-    :meth:`~repro.nvme.driver.HostNVMeDriver.submit_async` with the
-    device's background daemons live on the same event loop.
+    :meth:`~repro.nvme.driver.HostNVMeDriver.submit_async`; idle-window
+    background work runs at admission as on every host path.
     """
     import random as _random
 
@@ -247,9 +247,7 @@ def ablate_queue_depth(depths=(1, 2, 4, 8, 16), reads=400, seed=41):
             NVMeCommand(Opcode.READ, slba=lpa % working, nlb=1)
             for lpa in stream
         ]
-        _completions, elapsed = driver.submit_async(
-            commands, queue_depth=depth, daemons=True
-        )
+        _completions, elapsed = driver.submit_async(commands, queue_depth=depth)
         iops = reads * SECOND_US / max(1, elapsed)
         points.append(
             AblationPoint(

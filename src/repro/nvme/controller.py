@@ -15,8 +15,7 @@ from repro.common.errors import (
     RetentionViolationError,
     UncorrectableReadError,
 )
-from repro.flash.page import NULL_PPA
-from repro.nvme.commands import AdminOpcode, NVMeCommand, NVMeCompletion, Opcode, StatusCode
+from repro.nvme.commands import AdminOpcode, NVMeCompletion, Opcode, StatusCode
 from repro.timekits.api import TimeKits
 from repro.timessd.ssd import TimeSSD
 
@@ -74,43 +73,27 @@ class NVMeController:
     # --- Queues ---------------------------------------------------------------
 
     def submit(self, command):
-        """Process one command synchronously; returns a completion."""
+        """Process one command synchronously; returns a completion.
+
+        Queueable I/O (READ/WRITE/DSM) runs through :meth:`execute_io`
+        at the device clock, which then advances to its completion —
+        exactly a one-command :meth:`submit_batch`.
+        """
+        ssd = self.ssd
+        if not command.admin and command.opcode in _QUEUED_OPCODES:
+            completion, end = self.execute_io(command, ssd.clock.now_us)
+            ssd.clock.advance_to(end)
+            return completion
         self.commands_processed += 1
-        start = self.ssd.clock.now_us
+        start = ssd.clock.now_us
         try:
-            if command.admin:
-                result = self._admin(command)
-            else:
-                result = self._io(command)
-        except AddressError:
-            return self._complete(command, NVMeCompletion(StatusCode.LBA_OUT_OF_RANGE))
-        # DegradedModeError and RetentionViolationError are both
-        # refused-write DeviceFullErrors; they are sibling classes, so
-        # order here is documentation, not shadowing.
-        except DegradedModeError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.DEGRADED_READ_ONLY)
-            )
-        except RetentionViolationError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.RETENTION_PROTECTED)
-            )
-        except UncorrectableReadError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.MEDIA_UNRECOVERED_READ)
-            )
-        except ProgramFailureError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.MEDIA_WRITE_FAULT)
-            )
-        except _InvalidOpcode:
-            return self._complete(command, NVMeCompletion(StatusCode.INVALID_OPCODE))
-        except _InvalidField:
-            return self._complete(command, NVMeCompletion(StatusCode.INVALID_FIELD))
+            result = self._admin(command) if command.admin else self._io(command)
+        except _MAPPED_ERRORS as exc:
+            return self._complete(command, NVMeCompletion(_status_for(exc)))
         return self._complete(
             command,
             NVMeCompletion(
-                StatusCode.SUCCESS, result, latency_us=self.ssd.clock.now_us - start
+                StatusCode.SUCCESS, result, latency_us=ssd.clock.now_us - start
             ),
         )
 
@@ -140,6 +123,10 @@ class NVMeController:
         completions = []
         for i, command in enumerate(commands):
             slot = i % queue_depth
+            # The device clock follows the issue times (never backwards),
+            # as it does under the event loop, so clock-aged state such
+            # as retention segments sees the same time on every path.
+            ssd.clock.advance_to(cursors[slot])
             completion, end = self.execute_io(command, cursors[slot])
             cursors[slot] = end
             completions.append(completion)
@@ -161,25 +148,9 @@ class NVMeController:
         try:
             self._check_range(command)
             result, end = self._apply_io(command, start_us)
-        except (
-            AddressError,
-            DegradedModeError,
-            RetentionViolationError,
-            UncorrectableReadError,
-            ProgramFailureError,
-        ) as exc:
+        except _MAPPED_ERRORS as exc:
             return (
                 self._complete(command, NVMeCompletion(_status_for(exc))),
-                start_us,
-            )
-        except _InvalidOpcode:
-            return (
-                self._complete(command, NVMeCompletion(StatusCode.INVALID_OPCODE)),
-                start_us,
-            )
-        except _InvalidField:
-            return (
-                self._complete(command, NVMeCompletion(StatusCode.INVALID_FIELD)),
                 start_us,
             )
         return (
@@ -204,13 +175,11 @@ class NVMeController:
                 pages.append(data)
             return pages, t
         if command.opcode == Opcode.WRITE:
-            ssd.ensure_writable()
             for i in range(command.nlb):
                 data = command.data[i] if command.data is not None else None
                 t = ssd.serve_write_at(command.slba + i, data, t)
             return command.nlb, t
         if command.opcode == Opcode.DSM:
-            ssd.ensure_writable()
             for i in range(command.nlb):
                 ssd.serve_trim_at(command.slba + i, t)
             return command.nlb, t
@@ -257,22 +226,6 @@ class NVMeController:
         if self._kits is None:
             raise _InvalidOpcode()
         return self._kits
-
-    def _op_read(self, command):
-        self._check_range(command)
-        data, _ = self.ssd.read_range(command.slba, command.nlb)
-        return data
-
-    def _op_write(self, command):
-        self._check_range(command)
-        self.ssd.write_range(command.slba, command.nlb, command.data)
-        return command.nlb
-
-    def _op_trim(self, command):
-        self._check_range(command)
-        for i in range(command.nlb):
-            self.ssd.trim(command.slba + i)
-        return command.nlb
 
     def _op_flush(self, command):
         return 0  # writes are durable on completion in this model
@@ -331,9 +284,6 @@ class NVMeController:
         }
 
     _HANDLERS = {
-        Opcode.READ: _op_read,
-        Opcode.WRITE: _op_write,
-        Opcode.DSM: _op_trim,
         Opcode.FLUSH: _op_flush,
         Opcode.ADDR_QUERY: _op_addr_query,
         Opcode.ADDR_QUERY_RANGE: _op_addr_query_range,
@@ -347,7 +297,18 @@ class NVMeController:
     }
 
 
-#: Device-error to NVMe-status mapping shared by every submission path.
+class _InvalidOpcode(Exception):
+    pass
+
+
+class _InvalidField(Exception):
+    pass
+
+
+#: Opcodes applied through :meth:`NVMeController.execute_io`.
+_QUEUED_OPCODES = (Opcode.READ, Opcode.WRITE, Opcode.DSM)
+
+#: Error to NVMe-status mapping shared by every submission path.
 #: Order matters only for documentation: DegradedModeError and
 #: RetentionViolationError are sibling DeviceFullErrors, and the
 #: ``isinstance`` walk below checks most-specific classes first.
@@ -357,20 +318,14 @@ _STATUS_BY_ERROR = (
     (RetentionViolationError, StatusCode.RETENTION_PROTECTED),
     (UncorrectableReadError, StatusCode.MEDIA_UNRECOVERED_READ),
     (ProgramFailureError, StatusCode.MEDIA_WRITE_FAULT),
+    (_InvalidOpcode, StatusCode.INVALID_OPCODE),
+    (_InvalidField, StatusCode.INVALID_FIELD),
 )
+_MAPPED_ERRORS = tuple(error_cls for error_cls, _status in _STATUS_BY_ERROR)
 
 
 def _status_for(exc):
-    """NVMe status code for a device-level error."""
-    for error_cls, status in _STATUS_BY_ERROR:
-        if isinstance(exc, error_cls):
-            return status
-    raise TypeError("no NVMe status for %r" % (exc,))
-
-
-class _InvalidOpcode(Exception):
-    pass
-
-
-class _InvalidField(Exception):
-    pass
+    """NVMe status code for one of the ``_MAPPED_ERRORS``."""
+    return next(
+        status for error_cls, status in _STATUS_BY_ERROR if isinstance(exc, error_cls)
+    )

@@ -65,14 +65,12 @@ class HostNVMeDriver:
         return self.controller.submit_batch(commands, queue_depth)
 
     def submit_async(self, commands, queue_depth=8, queue_pairs=1,
-                     tie_break=None, daemons=False, retention_target_us=None):
+                     tie_break=None):
         """Event-driven submission: returns (completions, elapsed_us).
 
         Builds an :class:`AsyncNVMeEngine` over this driver's controller
         (so per-opcode metrics aggregate in one place) and drains the
-        command list through it.  With ``daemons=True`` the device's
-        background tasks run on the same loop and interleave with the
-        I/O; ``tie_break`` selects the schedule (see
+        command list through it; ``tie_break`` selects the schedule (see
         ``repro.sched.core.SeededTieBreak``).
         """
         engine = AsyncNVMeEngine(
@@ -82,8 +80,6 @@ class HostNVMeDriver:
             tie_break=tie_break,
             controller=self.controller,
         )
-        if daemons:
-            engine.install_daemons(retention_target_us=retention_target_us)
         return engine.process(commands)
 
     # --- TimeKits vendor commands --------------------------------------------------

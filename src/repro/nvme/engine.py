@@ -1,9 +1,9 @@
 """Event-driven NVMe engine: multi-queue submission with real overlap.
 
-This is the async device core of ISSUE 9.  Where
-:meth:`NVMeController.submit_batch` models queue depth analytically
-(static slot cursors, one pass over the command list), the engine runs
-the same per-command executor under the deterministic event loop:
+Where :meth:`NVMeController.submit_batch` models queue depth
+analytically (static slot cursors, one pass over the command list), the
+engine runs the same per-command executor under the deterministic event
+loop:
 
 * The host enqueues commands onto one or more :class:`QueuePair` rings.
 * ``queue_depth`` *slot workers* per pair — cooperative tasks with the
@@ -11,9 +11,10 @@ the same per-command executor under the deterministic event loop:
   next submission, apply it atomically via
   :meth:`NVMeController.execute_io`, then sleep until the command's
   device-time completion before posting to the completion ring.
-* Background firmware tasks (GC, compression, expiry, scrub) spawned
-  through :func:`repro.sched.tasks.spawn_device_daemons` interleave
-  with the workers at yield points only.
+* Background firmware work (GC, TimeSSD delta compression, patrol
+  scrub) runs at request admission in predicted-idle windows, inside the
+  device's host-request core — the same driver as every other path, so
+  the engine spawns no background tasks of its own.
 
 Completions therefore post *out of submission order* whenever a later
 command finishes first, and throughput scales with queue depth because
@@ -26,7 +27,6 @@ golden-determinism tests in ``tests/sched`` pin down.
 from repro.nvme.controller import NVMeController
 from repro.nvme.queues import QueuePair
 from repro.sched.core import At, EventLoop
-from repro.sched.tasks import spawn_device_daemons
 
 
 class AsyncNVMeEngine:
@@ -50,22 +50,17 @@ class AsyncNVMeEngine:
         #: all pairs — the overlap-invariant tests' witness that QD > 1
         #: produces real concurrency, not just reordering.
         self.inflight_max = 0
-        self.daemons = []
         self._log = []
 
     # --- Host side --------------------------------------------------------
 
-    def install_daemons(self, retention_target_us=None):
-        """Spawn the device's background tasks on this engine's loop.
+    def install_daemons(self):
+        """Deprecated no-op kept for existing callers; returns ``[]``.
 
-        Idempotent per engine: daemons persist across :meth:`pump`
-        calls, so installing twice would double the background work.
+        Background work runs in predicted-idle windows at request
+        admission on every path, so there are no daemon tasks to spawn.
         """
-        if not self.daemons:
-            self.daemons = spawn_device_daemons(
-                self.loop, self.ssd, retention_target_us=retention_target_us
-            )
-        return self.daemons
+        return []
 
     def enqueue(self, commands):
         """Push commands onto the rings round-robin; returns their cids."""

@@ -1,13 +1,12 @@
-"""Deterministic discrete-event scheduler and the async device tasks.
+"""Deterministic discrete-event scheduler for the async device core.
 
-``repro.sched`` is the concurrency substrate of the event-driven device
-core (ISSUE 9): a generator-based cooperative event loop on
-:class:`~repro.common.clock.SimClock` (:mod:`repro.sched.core`) plus the
-catalog of device tasks that run on it (:mod:`repro.sched.tasks`) —
-NVMe slot workers and the background firmware work (GC, delta
-compression, retention expiry, patrol scrub) re-expressed as daemon
-tasks.  See docs/SCHEDULER.md for the event model and the determinism
-argument.
+``repro.sched`` is the concurrency substrate of the event-driven NVMe
+engine: a generator-based cooperative event loop on
+:class:`~repro.common.clock.SimClock` (:mod:`repro.sched.core`) whose
+tasks are the engine's queue-slot workers.  Background firmware work is
+not a task: it runs at request admission in predicted-idle windows on
+every host path.  See docs/SCHEDULER.md for the event model and the
+determinism argument.
 """
 
 from repro.sched.core import (

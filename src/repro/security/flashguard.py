@@ -39,10 +39,10 @@ class FlashGuardSSD(BaseSSD):
 
     # --- Retention rule ----------------------------------------------------------
 
-    def read(self, lpa):
-        data, response = super().read(lpa)
+    def serve_read_at(self, lpa, start_us):
+        result = super().serve_read_at(lpa, start_us)
         self._read_since_write.add(lpa)
-        return data, response
+        return result
 
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)
@@ -108,7 +108,7 @@ class FlashGuardSSD(BaseSSD):
         while bm.free_block_count <= self.config.gc_low_watermark:
             pages_before = self.free_page_estimate()
             self._collect_garbage(now_us)
-            self.gc_runs += 1
+            self._m_gc_runs.inc()
             if self.free_page_estimate() <= pages_before:
                 self._evict_oldest_retained(fraction=0.1)
             guard += 1

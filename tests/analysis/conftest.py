@@ -1,9 +1,11 @@
 """Fixture helpers: feed source snippets through the lint driver."""
 
+import dataclasses
 import textwrap
 
 import pytest
 
+from repro.analysis.concurrency import model
 from repro.analysis.core import analyze_paths, rules_by_id
 
 
@@ -67,6 +69,27 @@ def package_tree(tmp_path):
         return str(_write_tree(tmp_path / "pkg", files))
 
     return build
+
+
+#: Synthetic daemon-task entry the yield-tier snippets define.
+SYNTHETIC_GC_TASK = "repro.sched.tasks.background_gc_task"
+
+
+@pytest.fixture
+def gc_task_root(monkeypatch):
+    """Add :data:`SYNTHETIC_GC_TASK` to the ``background-gc`` root.
+
+    The shipped table names only real entry points; snippets that model
+    a scheduler-driven background task get their root here instead.
+    """
+    roots = tuple(
+        dataclasses.replace(root, qualnames=root.qualnames + (SYNTHETIC_GC_TASK,))
+        if root.name == "background-gc"
+        else root
+        for root in model.TASK_ROOTS
+    )
+    monkeypatch.setattr(model, "TASK_ROOTS", roots)
+    return roots
 
 
 def rule_ids(violations):

@@ -152,3 +152,45 @@ def test_builtin_method_names_do_not_count_as_ambiguous(package_tree):
     assert not any(
         u.caller == "repro.common.holder.gather" for u in graph.unresolved
     )
+
+
+def test_super_call_resolves_through_the_in_project_mro(package_tree):
+    root = package_tree(
+        {
+            "repro.common.errors": """
+                class ReproError(Exception):
+                    pass
+
+
+                class MediaError(ReproError):
+                    def __init__(self, ppa):
+                        super().__init__("media error at %d" % ppa)
+            """,
+            "repro.ftl.base": """
+                class Base:
+                    def __init__(self):
+                        self.ready = True
+
+
+                class Child(Base):
+                    def __init__(self):
+                        super().__init__()
+
+
+                class Pool:
+                    def __init__(self, fs):
+                        fs.flush()
+            """,
+        }
+    )
+    graph = graph_for(root)
+    # An in-project ancestor defines the method: exactly that edge.
+    assert set(graph.edges["repro.ftl.base.Child.__init__"]) == {
+        "repro.ftl.base.Base.__init__"
+    }
+    # Only builtin ancestors define it: no guess at same-named methods.
+    assert not graph.edges.get("repro.common.errors.MediaError.__init__")
+    assert not any(
+        u.caller == "repro.common.errors.MediaError.__init__"
+        for u in graph.unresolved
+    )

@@ -3,13 +3,16 @@ task-generator protocol, and the extended contract report.
 
 Synthetic trees define a minimal ``repro.sched.core`` with the real
 wait-instruction and ``EventLoop.spawn`` qualnames so the hard-coded
-seeds in ``repro.analysis.concurrency.model`` apply; task-root names
-(``repro.sched.tasks.background_gc_task``) reuse the real root table so
-the shared-state inventory sees the writes.  The shipped tree's own
+seeds in ``repro.analysis.concurrency.model`` apply; the snippets' task
+entry (``repro.sched.tasks.background_gc_task``) joins the real
+``background-gc`` root through the ``gc_task_root`` fixture so the
+shared-state inventory sees the writes.  The shipped tree's own
 cleanliness is asserted by ``test_runner.test_whole_tree_is_clean``.
 """
 
 import json
+
+import pytest
 
 from repro.analysis.concurrency.report import render_report
 from repro.analysis.concurrency.yields import yield_analysis
@@ -17,6 +20,8 @@ from repro.analysis.core import Project, SourceModule, collect_files
 from repro.analysis.runner import main as lint_main
 
 from tests.analysis.conftest import rule_ids
+
+pytestmark = pytest.mark.usefixtures("gc_task_root")
 
 SCHED_CORE = """
     class Delay:

@@ -8,6 +8,7 @@ from repro.common.units import SECOND_US
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.ssd import RegularSSD, SSDConfig
+from repro.security import FlashGuardSSD
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.ssd import TimeSSD
 
@@ -29,6 +30,12 @@ def make_regular_ssd(**config_overrides):
     params = dict(geometry=small_geometry())
     params.update(config_overrides)
     return RegularSSD(SSDConfig(**params))
+
+
+def make_flashguard_ssd(**config_overrides):
+    params = dict(geometry=small_geometry())
+    params.update(config_overrides)
+    return FlashGuardSSD(SSDConfig(**params))
 
 
 def make_timessd(**config_overrides):

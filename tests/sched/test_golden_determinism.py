@@ -23,7 +23,6 @@ def run_once(kind, queue_depth, seed):
     engine = AsyncNVMeEngine(
         ssd, queue_depth=queue_depth, tie_break=SeededTieBreak(seed)
     )
-    engine.install_daemons()
     run_rings(
         engine,
         seed,

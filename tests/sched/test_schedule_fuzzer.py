@@ -2,15 +2,15 @@
 
 Each seed drives the *same* ring workload through a RegularSSD and a
 TimeSSD, with :class:`SeededTieBreak` permuting every same-timestamp
-scheduling decision (slot-worker wakeups, daemon ticks).  Because rings
+scheduling decision (slot-worker fetches and wakeups).  Because rings
 never alias an LBA, every schedule the loop can produce must agree
 with the plain-dict model:
 
 * read-your-writes inside every ring (checked as rings drain),
 * final device contents == model on both devices,
 * both devices return identical per-command status streams,
-* the retention floor is never violated no matter where the expiry
-  daemon's shrinks landed in the schedule.
+* the retention floor is never violated no matter where retention
+  shrinks landed in the schedule.
 """
 
 import pytest
@@ -35,7 +35,6 @@ def fuzz_device(ssd, seed):
         queue_pairs=1 + seed % 2,
         tie_break=SeededTieBreak(seed),
     )
-    engine.install_daemons(retention_target_us=10 * RETENTION_FLOOR_US)
     span = ssd.logical_pages // 3
     model, statuses = run_rings(
         engine, seed, rings=6, ring_size=24, span=span, gap_us=40_000
@@ -77,17 +76,16 @@ def test_differential_oracle_extended_seeds(seed):
 
 
 def test_distinct_seeds_explore_distinct_schedules():
-    # The fuzzer is useless if every seed replays the FIFO order; event
-    # counts are schedule-dependent (daemon wakeups vs worker wakeups at
-    # equal timestamps), so require at least two seeds to disagree on
-    # the dispatch trace shape.
+    # The fuzzer is useless if every seed replays the FIFO order; the
+    # completion order is schedule-dependent (worker wakeups at equal
+    # timestamps), so require at least two seeds to disagree on the
+    # dispatch trace shape.
     signatures = set()
     for seed in range(8):
         ssd = make_timessd(retention_floor_us=RETENTION_FLOOR_US)
         engine = AsyncNVMeEngine(
             ssd, queue_depth=6, tie_break=SeededTieBreak(seed)
         )
-        engine.install_daemons()
         run_rings(engine, 99, rings=3, ring_size=24,
                   span=ssd.logical_pages // 3, gap_us=25_000)
         signatures.add(
