@@ -260,7 +260,6 @@ CONTRACTS = (
         ),
         allowed_callers=(
             "repro.flash.device.FlashDevice.read_page",
-            "repro.flash.device.FlashDevice.read_oob",
             "repro.flash.device.FlashDevice.program_page",
             "repro.flash.device.FlashDevice.erase_block",
         ),

@@ -13,7 +13,7 @@ constructed standalone (``Block(pba, pages_per_block)``) gets a private
 single-block core, so unit tests and tooling keep the old constructor.
 """
 
-from repro.flash.core import ColumnarFlashArray
+from repro.flash.core import ColumnarFlashArray, oob_view
 from repro.flash.page import Page
 
 
@@ -113,7 +113,8 @@ class Block:
         self._core.program(self._idx, offset, data, oob)
 
     def read(self, offset):
-        return self._core.read(self._idx, offset)
+        data, raw = self._core.read(self._idx, offset)
+        return data, oob_view(raw)
 
     def erase(self):
         self._core.erase(self._idx)

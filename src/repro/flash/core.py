@@ -55,6 +55,12 @@ def _to_i64(value):
     return value - (1 << 64) if value >> 63 else value
 
 
+def oob_view(raw):
+    """The :class:`OOBMetadata` of a raw OOB tuple (see ``raw_oob``)."""
+    lpa, back, ts, seq = raw
+    return OOBMetadata(lpa, back, ts, seq_tag=seq & _MASK64)
+
+
 if HAVE_NUMPY:
 
     def _mix64_vec(x):
@@ -146,7 +152,12 @@ class ColumnarFlashArray:
         "half-written (spuriously torn) page"
     )
     def program(self, pba, offset, data, oob):
-        """Program one page (must be the block's write pointer)."""
+        """Program one page (must be the block's write pointer).
+
+        ``oob`` is an :class:`OOBMetadata` or a raw OOB tuple as
+        :meth:`raw_oob` returns it (a migrated page keeps its OOB
+        exactly, so its column values are copied without a view).
+        """
         wp = self.write_pointer[pba]
         if offset != wp:
             raise FlashStateError(
@@ -158,11 +169,18 @@ class ColumnarFlashArray:
             raise FlashStateError(
                 "block %d: program to non-erased page %d" % (pba, offset)
             )
+        if type(oob) is tuple:
+            lpa, back, ts, seq = oob
+        else:
+            lpa = _to_i64(oob.lpa)
+            back = _to_i64(oob.back_pointer)
+            ts = _to_i64(oob.timestamp_us)
+            seq = _to_i64(oob.seq_tag)
         self.data[gidx] = data
-        self.lpa[gidx] = _to_i64(oob.lpa)
-        self.back_pointer[gidx] = _to_i64(oob.back_pointer)
-        self.timestamp_us[gidx] = _to_i64(oob.timestamp_us)
-        self.seq_tag[gidx] = _to_i64(oob.seq_tag)
+        self.lpa[gidx] = lpa
+        self.back_pointer[gidx] = back
+        self.timestamp_us[gidx] = ts
+        self.seq_tag[gidx] = seq
         self.state[gidx] = 1
         self.write_pointer[pba] = wp + 1
 
@@ -185,15 +203,36 @@ class ColumnarFlashArray:
         self.reads_since_erase[pba] = 0
 
     def read(self, pba, offset):
-        """Read one programmed page: ``(data, oob)``."""
+        """Read one programmed page: ``(data, raw OOB tuple)``."""
         gidx = pba * self.pages_per_block + offset
         if not self.state[gidx]:
             raise FlashStateError(
                 "block %d: read of erased page %d" % (pba, offset)
             )
-        return self.data[gidx], self.oob_at(gidx)
+        return self.data[gidx], self.raw_oob(gidx)
 
     # --- Column accessors -------------------------------------------------
+
+    def raw_oob(self, gidx):
+        """One page's OOB as its int64 column values.
+
+        ``(lpa, back_pointer, timestamp_us, seq_tag)``, with ``seq_tag``
+        still in two's complement; :func:`oob_view` turns it into an
+        :class:`OOBMetadata`.
+        """
+        return (
+            self.lpa[gidx],
+            self.back_pointer[gidx],
+            self.timestamp_us[gidx],
+            self.seq_tag[gidx],
+        )
+
+    def intact(self, gidx):
+        """True iff a programmed page's sequence tag matches its OOB
+        fields: the program committed (torn and burned pages fail)."""
+        return seq_tag_of(
+            self.lpa[gidx], self.back_pointer[gidx], self.timestamp_us[gidx]
+        ) == self.seq_tag[gidx] & _MASK64
 
     def oob_at(self, gidx):
         """Reconstruct the ``OOBMetadata`` view of one programmed page.
@@ -203,12 +242,7 @@ class ColumnarFlashArray:
         """
         if not self.state[gidx]:
             return None
-        return OOBMetadata(
-            self.lpa[gidx],
-            self.back_pointer[gidx],
-            self.timestamp_us[gidx],
-            seq_tag=self.seq_tag[gidx] & _MASK64,
-        )
+        return oob_view(self.raw_oob(gidx))
 
     def page_slice(self, pba, stop=None):
         """Column slices for one block's first ``stop`` pages.

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import EraseFailureError, ProgramFailureError
 from repro.common.units import BlockId, Ppa, TimeUs
 from repro.flash.block import Block
-from repro.flash.core import ColumnarFlashArray, verify_seq_tags
+from repro.flash.core import ColumnarFlashArray, oob_view, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import Page
 from repro.flash.reliability import ReliabilityEngine
@@ -91,15 +91,42 @@ class BlockOOBScan:
         self.intact = intact
 
 
-@dataclass
 class ReadResult:
-    data: object
-    oob: object
-    complete_us: int = 0
-    #: Bits ECC corrected on this read (0 when reliability is disabled).
-    #: Firmware watches this drift toward the ECC budget to refresh
-    #: at-risk pages before they become uncorrectable.
-    corrected_bits: int = 0
+    """One page read: data, OOB metadata and completion time.
+
+    The OOB is captured at read time as its raw column tuple
+    (``raw_oob``, see :meth:`ColumnarFlashArray.raw_oob`); the
+    :class:`~repro.flash.page.OOBMetadata` view is built on first access
+    to ``oob``.  GC migration passes ``raw_oob`` straight back to
+    :meth:`FlashDevice.program_page`, so a copied page never goes
+    through the view.
+    """
+
+    __slots__ = ("data", "raw_oob", "complete_us", "corrected_bits", "_oob")
+
+    def __init__(self, data, raw_oob, complete_us=0, corrected_bits=0):
+        self.data = data
+        self.raw_oob = raw_oob
+        self.complete_us = complete_us
+        #: Bits ECC corrected on this read (0 when reliability is disabled).
+        #: Firmware watches this drift toward the ECC budget to refresh
+        #: at-risk pages before they become uncorrectable.
+        self.corrected_bits = corrected_bits
+        self._oob = None
+
+    @property
+    def oob(self):
+        if self._oob is None:
+            self._oob = oob_view(self.raw_oob)
+        return self._oob
+
+    @property
+    def lpa(self):
+        """The page's OOB logical page address."""
+        return self.raw_oob[0]
+
+    def __repr__(self):
+        return "ReadResult(lpa=%d, complete_us=%d)" % (self.lpa, self.complete_us)
 
 
 class FlashDevice:
@@ -156,10 +183,6 @@ class FlashDevice:
         self._h_program_us = metrics.histogram("flash.program_us")
         self._h_erase_us = metrics.histogram("flash.erase_us")
 
-    def _chip_index(self, pba):
-        channel, chip = self.geometry.chip_of_block(pba)
-        return channel * self.geometry.chips_per_channel + chip
-
     # --- Functional + timed operations --------------------------------------
 
     def read_page(self, ppa: Ppa, now_us: TimeUs = 0, retry_step: int = 0):
@@ -176,13 +199,13 @@ class FlashDevice:
         each one advances the read-disturb accumulator.
         """
         geo = self.geometry
+        geo.check_ppa(ppa)
         core = self.core
-        pba = geo.block_of_page(ppa)
+        pba, offset = divmod(ppa, geo.pages_per_block)
         if self.faults is not None:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
-        offset = geo.page_offset(ppa)
-        data, oob = core.read(pba, offset)
+        data, raw = core.read(pba, offset)
         self.counters.page_reads += 1
         # Disturb from *prior* senses degrades this read; this read's own
         # stress lands on the next one.  Count before the ECC check so
@@ -202,38 +225,40 @@ class FlashDevice:
                 block_reads=disturb_reads,
                 retry_step=retry_step,
             )
+        # Lane arithmetic inlined (the PPA was checked above): block
+        # ``pba`` sits on channel ``pba % channels``, die
+        # ``(pba // channels) % chips_per_channel`` of that channel.
+        channels = geo.channels
+        channel = pba % channels
+        chips = geo.chips_per_channel
+        chip = channel * chips + pba // channels % chips
         cell_done = self.chip_timelines.schedule(
-            self._chip_index(pba),
-            now_us,
-            self.timing.read_us * (1 + retry_step),
+            chip, now_us, self.timing.read_us * (1 + retry_step)
         )
         complete = self.timelines.schedule(
-            geo.channel_of_page(ppa), cell_done, self.timing.bus_transfer_us
+            channel, cell_done, self.timing.bus_transfer_us
         )
         self._m_reads.inc()
         self._h_read_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
-        return ReadResult(data, oob, complete, corrected)
-
-    def read_oob(self, ppa: Ppa, now_us: TimeUs = 0):
-        """Read only a page's OOB metadata.
-
-        Real controllers fetch OOB together with the page, so this costs a
-        full page read; it exists for call-site clarity.
-        """
-        return self.read_page(ppa, now_us)
+        return ReadResult(data, raw, complete, corrected)
 
     def program_page(self, ppa: Ppa, data, oob, now_us: TimeUs = 0):
         """Program an erased page; returns the completion time.
+
+        ``oob`` is an :class:`~repro.flash.page.OOBMetadata`, or the
+        ``raw_oob`` of a :class:`ReadResult` when a page is copied with
+        its OOB unchanged (GC migration, scrub refresh).
 
         Timing: the bus transfer occupies the channel, then the cell
         program occupies the chip.
         """
         geo = self.geometry
+        geo.check_ppa(ppa)
         core = self.core
-        pba = geo.block_of_page(ppa)
+        pba, offset = divmod(ppa, geo.pages_per_block)
         if core.failed[pba]:
             raise ProgramFailureError(ppa, permanent=True)
         if self.faults is not None:
@@ -241,17 +266,23 @@ class FlashDevice:
             # persists its partial page before raising, so nothing past
             # this line runs for a failed op — no counters, no timing.
             self.last_op_start_us = now_us
-            self.faults.on_program(self, ppa, data, oob)
-        core.program(pba, geo.page_offset(ppa), data, oob)
+            self.faults.on_program(
+                self, ppa, data, oob_view(oob) if type(oob) is tuple else oob
+            )
+        core.program(pba, offset, data, oob)
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
         core.programmed_us[ppa] = now_us
         self.counters.page_programs += 1
+        channels = geo.channels  # lanes as in read_page
+        channel = pba % channels
+        chips = geo.chips_per_channel
+        chip = channel * chips + pba // channels % chips
         transferred = self.timelines.schedule(
-            geo.channel_of_page(ppa), now_us, self.timing.bus_transfer_us
+            channel, now_us, self.timing.bus_transfer_us
         )
         complete = self.chip_timelines.schedule(
-            self._chip_index(pba), transferred, self.timing.program_us
+            chip, transferred, self.timing.program_us
         )
         self._m_programs.inc()
         self._h_program_us.record(complete - now_us)
@@ -275,9 +306,10 @@ class FlashDevice:
             self.faults.on_erase(self, pba)
         self.core.erase(pba)
         self.counters.block_erases += 1
-        complete = self.chip_timelines.schedule(
-            self._chip_index(pba), now_us, self.timing.erase_us
-        )
+        channels = geo.channels
+        chips = geo.chips_per_channel
+        chip = pba % channels * chips + pba // channels % chips
+        complete = self.chip_timelines.schedule(chip, now_us, self.timing.erase_us)
         self._m_erases.inc()
         self._h_erase_us.record(complete - now_us)
         tr = self.obs.trace

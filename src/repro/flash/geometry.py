@@ -42,19 +42,18 @@ class FlashGeometry:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-
-    @property
-    def total_blocks(self):
-        return (
+        # Derived totals are plain ints computed once: every address
+        # check reads them, so they must not cost a property call each.
+        # Not dataclass fields, so equality, hashing and ``asdict`` see
+        # only the dimensions above.
+        total_blocks = (
             self.channels
             * self.chips_per_channel
             * self.planes_per_chip
             * self.blocks_per_plane
         )
-
-    @property
-    def total_pages(self):
-        return self.total_blocks * self.pages_per_block
+        object.__setattr__(self, "total_blocks", total_blocks)
+        object.__setattr__(self, "total_pages", total_blocks * self.pages_per_block)
 
     @property
     def raw_capacity_bytes(self):

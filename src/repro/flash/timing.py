@@ -88,12 +88,18 @@ class ChannelTimelines:
     def schedule(self, channel, now_us, latency_us):
         """Occupy ``channel`` for ``latency_us`` starting no earlier than now.
 
-        Returns the completion time.
+        Returns the completion time.  ``channel`` is trusted: the flash
+        layer derives it from a checked address, so it is not validated
+        beyond what indexing does (an index past the last lane still
+        raises :class:`AddressError`).
         """
-        self._check(channel)
+        try:
+            busy_until = self._busy_until[channel]
+        except IndexError:
+            raise AddressError("channel %r out of range" % channel) from None
         if latency_us < 0:
             raise ValueError("latency must be non-negative")
-        start = max(now_us, self._busy_until[channel])
+        start = busy_until if busy_until > now_us else now_us
         end = start + latency_us
         self._busy_until[channel] = end
         self._busy_us[channel] += latency_us

@@ -4,9 +4,14 @@ Implements the paper's block status table (BST, per-block status and
 invalid-page counts — extended by TimeSSD to mark delta blocks) and page
 validity table (PVT, per-page valid bits).  Free blocks are handed out
 round-robin across channels so sequential allocation stripes the device.
+
+The BST invalid counter doubles as the GC victim index: sealed blocks
+sit in per-kind buckets keyed by invalid-page count, kept current by
+every validity flip, so victim selection never scans the device.
 """
 
 import enum
+from bisect import bisect_left, insort
 from collections import deque
 
 from repro.common.atomic import atomic_section
@@ -37,7 +42,7 @@ class StreamId(enum.Enum):
 
 
 class _BlockInfo:
-    __slots__ = ("kind", "valid", "valid_count", "sealed")
+    __slots__ = ("kind", "valid", "valid_count", "sealed", "home", "bucket")
 
     def __init__(self, pages_per_block):
         self.kind = BlockKind.FREE
@@ -46,6 +51,30 @@ class _BlockInfo:
         # Force-sealed: treated as full for victim selection even though
         # pages remain (orphaned partial blocks after crash recovery).
         self.sealed = False
+        # The victim index of this block's kind (None while free or
+        # retired), and the invalid-page count it is filed under there
+        # (None while the block is still open).
+        self.home = None
+        self.bucket = None
+
+
+class _KindIndex:
+    """Victim index over the occupied blocks of one :class:`BlockKind`.
+
+    Every occupied block of the kind is in exactly one of ``open`` (may
+    still take programs) or ``sealed`` (full, force-sealed or grown bad:
+    its write pointer never moves again until erase).  Sealed blocks are
+    also filed in ``buckets`` by invalid-page count.
+    """
+
+    __slots__ = ("open", "sealed", "buckets")
+
+    def __init__(self):
+        self.open = set()
+        #: Sealed PBAs in ascending order.
+        self.sealed = []
+        #: Invalid-page count -> set of sealed PBAs; no empty sets.
+        self.buckets = {}
 
 
 class BlockManager:
@@ -57,6 +86,8 @@ class BlockManager:
         self.retired_blocks = 0
         geo = device.geometry
         self._geo = geo
+        self._core = device.core
+        self._ppb = geo.pages_per_block
         self._info = [_BlockInfo(geo.pages_per_block) for _ in range(geo.total_blocks)]
         self._free = [deque() for _ in range(geo.channels)]
         for pba in range(geo.total_blocks):
@@ -68,6 +99,14 @@ class BlockManager:
         # channel and rotate, as real FTLs do to exploit parallelism;
         # unstriped streams (delta blocks) fill one block at a time.
         self._active = {}
+        # Reverse map of ``_active``: append block -> (stream key, slot).
+        # A block is the append point of at most one slot.
+        self._active_slot = {}
+        # GC victim index, one per occupied kind (see _KindIndex).
+        self._index = {
+            kind: _KindIndex()
+            for kind in (BlockKind.DATA, BlockKind.DELTA, BlockKind.TRANSLATION)
+        }
 
     # --- Free pool -----------------------------------------------------------
 
@@ -109,6 +148,7 @@ class BlockManager:
         # Resolve the channel (which validates pba) before the first
         # mutation, keeping the section's fallible work up front.
         channel = self._geo.channel_of_block(pba)
+        self._untrack(pba, info)
         info.valid[:] = bytes(len(info.valid))
         info.sealed = False
         self._forget_active(pba)
@@ -166,6 +206,7 @@ class BlockManager:
                 self._free_count -= 1
             except ValueError:
                 pass
+        self._untrack(pba, info)
         info.valid[:] = bytes(len(info.valid))
         info.valid_count = 0
         info.sealed = False
@@ -181,11 +222,10 @@ class BlockManager:
     def _forget_active(self, pba):
         # A stream whose (full) active block got reclaimed must open a
         # fresh block on its next allocation, not write into a freed one.
-        for state in self._active.values():
-            blocks = state["blocks"]
-            for i, active in enumerate(blocks):
-                if active == pba:
-                    blocks[i] = None
+        entry = self._active_slot.pop(pba, None)
+        if entry is not None:
+            key, slot = entry
+            self._active[key]["blocks"][slot] = None
 
     # --- Allocation ----------------------------------------------------------
 
@@ -229,16 +269,20 @@ class BlockManager:
             self._active[key] = state
         slot = state["next"]
         state["next"] = (slot + 1) % channels
-        pba = state["blocks"][slot]
-        if pba is not None and self.device.blocks[pba].is_full:
-            pba = None
-        if pba is None:
+        full = pba = state["blocks"][slot]
+        ppb = self._ppb
+        write_pointer = self._core.write_pointer
+        if pba is None or write_pointer[pba] >= ppb:
             preferred = slot if striped else None
             pba = self._pop_free_block(preferred_channel=preferred)
-            self._info[pba].kind = kind
+            if full is not None:
+                del self._active_slot[full]
+            info = self._info[pba]
+            info.kind = kind
+            self._track(pba, info)
             state["blocks"][slot] = pba
-        offset = self.device.blocks[pba].write_pointer
-        return self._geo.first_page_of_block(pba) + offset
+            self._active_slot[pba] = (key, slot)
+        return pba * ppb + write_pointer[pba]
 
     def adopt_active(self, key, pba, striped=True):
         """Resume appending into a partially-programmed block.
@@ -257,7 +301,13 @@ class BlockManager:
         if state["blocks"][slot] is not None:
             return False
         state["blocks"][slot] = pba
-        self._info[pba].sealed = False
+        self._active_slot[pba] = (key, slot)
+        info = self._info[pba]
+        info.sealed = False
+        if info.bucket is not None:
+            # Reopened: back to the open set, re-sealed lazily if full.
+            self._untrack(pba, info)
+            self._track(pba, info)
         return True
 
     def close_stream(self, key):
@@ -270,6 +320,8 @@ class BlockManager:
         if state is None:
             return None
         blocks = [pba for pba in state["blocks"] if pba is not None]
+        for pba in blocks:
+            del self._active_slot[pba]
         return blocks[0] if blocks else None
 
     def stream_blocks(self, key):
@@ -284,77 +336,159 @@ class BlockManager:
         return self.stream_blocks(stream)
 
     def active_blocks(self):
-        out = set()
-        for state in self._active.values():
-            out.update(pba for pba in state["blocks"] if pba is not None)
-        return out
+        """Every stream's current append block, as a new set."""
+        return set(self._active_slot)
 
     # --- Validity tracking (PVT) ---------------------------------------------
 
     def mark_valid(self, ppa: Ppa):
-        pba = self._geo.block_of_page(ppa)
-        offset = self._geo.page_offset(ppa)
+        self._geo.check_ppa(ppa)
+        pba, offset = divmod(ppa, self._ppb)
         info = self._info[pba]
         if not info.valid[offset]:
             info.valid[offset] = 1
             info.valid_count += 1
+            if info.bucket is not None:
+                self._refile(pba, info, info.bucket - 1)
 
     def invalidate_page(self, ppa: Ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
-        pba = self._geo.block_of_page(ppa)
-        offset = self._geo.page_offset(ppa)
+        self._geo.check_ppa(ppa)
+        pba, offset = divmod(ppa, self._ppb)
         info = self._info[pba]
         if info.valid[offset]:
             info.valid[offset] = 0
             info.valid_count -= 1
+            if info.bucket is not None:
+                self._refile(pba, info, info.bucket + 1)
 
     def is_valid(self, ppa: Ppa):
-        pba = self._geo.block_of_page(ppa)
-        return bool(self._info[pba].valid[self._geo.page_offset(ppa)])
+        self._geo.check_ppa(ppa)
+        pba, offset = divmod(ppa, self._ppb)
+        return bool(self._info[pba].valid[offset])
 
     def valid_count(self, pba: BlockId):
         return self._info[pba].valid_count
 
     def invalid_count(self, pba: BlockId):
         """Programmed-but-stale page count (the BST invalid counter)."""
-        programmed = self.device.blocks[pba].write_pointer
-        return programmed - self._info[pba].valid_count
+        return self._core.write_pointer[pba] - self._info[pba].valid_count
 
     def kind(self, pba):
         return self._info[pba].kind
 
     def set_kind(self, pba, kind):
-        self._info[pba].kind = kind
+        info = self._info[pba]
+        if info.kind is kind:
+            return
+        self._untrack(pba, info)
+        info.kind = kind
+        self._track(pba, info)
+
+    # --- Victim index ----------------------------------------------------------
+    #
+    # Invariants: a FREE or RETIRED block is in no index; every other
+    # block is in its kind's index, either open or sealed.  A sealed
+    # block's write pointer is frozen (nothing allocates into a full,
+    # force-sealed or failed block, and a failed block refuses programs),
+    # so its invalid count moves only with validity flips, which refile
+    # it.  Open blocks are checked for sealing lazily, when the kind's
+    # index is read, because a block fills, and a fault marks it failed,
+    # without the manager being told.
+
+    def _track(self, pba, info):
+        home = info.home = self._index.get(info.kind)
+        if home is not None:
+            home.open.add(pba)
+
+    def _untrack(self, pba, info):
+        home = info.home
+        if home is None:
+            return
+        info.home = None
+        if info.bucket is None:
+            home.open.discard(pba)
+            return
+        del home.sealed[bisect_left(home.sealed, pba)]
+        self._unfile(home.buckets, pba, info.bucket)
+        info.bucket = None
+
+    @staticmethod
+    def _file(buckets, pba, key):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = {pba}
+        else:
+            bucket.add(pba)
+
+    @staticmethod
+    def _unfile(buckets, pba, key):
+        bucket = buckets[key]
+        bucket.discard(pba)
+        if not bucket:
+            del buckets[key]
+
+    def _refile(self, pba, info, key):
+        buckets = info.home.buckets
+        self._unfile(buckets, pba, info.bucket)
+        self._file(buckets, pba, key)
+        info.bucket = key
+
+    def _seal_open(self, home):
+        """Move the open blocks that can take no more programs to sealed."""
+        core = self._core
+        ppb = self._ppb
+        infos = self._info
+        done = [
+            pba
+            for pba in home.open
+            if core.write_pointer[pba] >= ppb or infos[pba].sealed or core.failed[pba]
+        ]
+        for pba in done:
+            home.open.discard(pba)
+            info = infos[pba]
+            info.bucket = key = core.write_pointer[pba] - info.valid_count
+            insort(home.sealed, pba)
+            self._file(home.buckets, pba, key)
+        return home
 
     # --- Victim selection ----------------------------------------------------
 
     def sealed_blocks(self, kind=None):
-        """PBAs of full, non-free blocks (optionally of one kind).
+        """PBAs of full, non-free blocks (optionally of one kind), ascending.
 
         A block that is still a stream's append point but already full
         counts as sealed — nothing more will ever be written to it.  So
         do force-sealed partial blocks (crash recovery orphans) and
         grown-bad blocks awaiting retirement: both take no more programs.
         """
-        for pba, info in enumerate(self._info):
-            if info.kind is BlockKind.FREE or info.kind is BlockKind.RETIRED:
-                continue
-            if kind is not None and info.kind is not kind:
-                continue
-            block = self.device.blocks[pba]
-            if block.is_full or info.sealed or block.failed:
-                yield pba
+        if kind is None:
+            pbas = []
+            for index in self._index.values():
+                pbas.extend(self._seal_open(index).sealed)
+            pbas.sort()
+        else:
+            index = self._index.get(kind)
+            if index is None:
+                return
+            pbas = tuple(self._seal_open(index).sealed)
+        yield from pbas
 
     def select_greedy_victim(self, kind=BlockKind.DATA):
-        """Sealed block of ``kind`` with the most invalid pages, or None."""
-        best_pba = None
-        best_invalid = 0
-        for pba in self.sealed_blocks(kind):
-            invalid = self.invalid_count(pba)
-            if invalid > best_invalid:
-                best_invalid = invalid
-                best_pba = pba
-        return best_pba
+        """Sealed block of ``kind`` with the most invalid pages, or None.
+
+        Ties go to the lowest PBA.
+        """
+        index = self._index.get(kind)
+        if index is None:
+            return None
+        buckets = self._seal_open(index).buckets
+        if not buckets:
+            return None
+        most = max(buckets)
+        if most <= 0:
+            return None
+        return min(buckets[most])
 
     def select_cost_benefit_victim(self, now_us: TimeUs, kind=BlockKind.DATA):
         """LFS-style cost-benefit victim: maximize (1-u)*age / (1+u).
@@ -363,15 +497,22 @@ class BlockManager:
         ``age`` is time since its last program — old, mostly-invalid
         blocks win, which beats pure greed under hot/cold skew because
         cold blocks are cleaned while their garbage is still garbage.
+        Ties go to the lowest PBA.
         """
+        index = self._index.get(kind)
+        if index is None:
+            return None
+        core = self._core
+        infos = self._info
         best_pba = None
         best_score = 0.0
-        for pba in self.sealed_blocks(kind):
-            programmed = self.device.blocks[pba].write_pointer
-            if programmed == 0 or self.invalid_count(pba) == 0:
+        for pba in self._seal_open(index).sealed:
+            programmed = core.write_pointer[pba]
+            valid = infos[pba].valid_count
+            if programmed == 0 or programmed == valid:
                 continue
-            u = self._info[pba].valid_count / programmed
-            age = max(1, now_us - self.device.blocks[pba].last_program_us)
+            u = valid / programmed
+            age = max(1, now_us - core.last_program_us[pba])
             score = (1.0 - u) * age / (1.0 + u)
             if score > best_score:
                 best_score = score

@@ -296,12 +296,12 @@ class PatrolScrubber:
         new_ppa, t = ssd.program_with_retry(
             lambda: bm.allocate_page(StreamId.GC),
             result.data,
-            result.oob,
+            result.raw_oob,
             now_us,
         )
         bm.mark_valid(new_ppa)
         bm.invalidate_page(ppa)
-        ssd.remap_migrated_page(result.oob, ppa, new_ppa)
+        ssd.remap_migrated_page(result.lpa, ppa, new_ppa)
         index = getattr(ssd, "index", None)
         if index is not None:
             # The stale copy is a byte-identical duplicate of the

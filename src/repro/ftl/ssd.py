@@ -380,10 +380,11 @@ class BaseSSD:
     def free_page_estimate(self):
         """Free pages = free blocks plus the room left in active blocks."""
         bm = self.block_manager
-        pages = bm.free_block_count * self.device.geometry.pages_per_block
+        ppb = self.device.geometry.pages_per_block
+        write_pointer = self.device.core.write_pointer
+        pages = bm.free_block_count * ppb
         for pba in bm.active_blocks():
-            block = self.device.blocks[pba]
-            pages += len(block.pages) - block.write_pointer
+            pages += ppb - write_pointer[pba]
         return pages
 
     # --- Degraded mode (read-only fail-safe) ---------------------------------
@@ -773,12 +774,12 @@ class BaseSSD:
             new_ppa, _complete = self.program_with_retry(
                 lambda: bm.allocate_page(StreamId.GC),
                 result.data,
-                result.oob,
+                result.raw_oob,
                 now_us,
             )
             bm.mark_valid(new_ppa)
             bm.invalidate_page(ppa)
-            self.remap_migrated_page(result.oob, ppa, new_ppa)
+            self.remap_migrated_page(result.lpa, ppa, new_ppa)
             migrated += 1
         self._m_gc_migrated.inc(migrated)
         return migrated
@@ -793,8 +794,8 @@ class BaseSSD:
         the LBA clears it.  The block's reclaim then proceeds — the
         unreadable copy is garbage either way.
         """
-        page = self.device.peek_page(ppa)
-        lpa = page.oob.lpa if page.oob is not None else None
+        core = self.device.core
+        lpa = core.lpa[ppa] if core.state[ppa] else None
         self.block_manager.invalidate_page(ppa)
         if lpa is not None and self.mapping.lookup(lpa) == ppa:
             self.mapping.invalidate(lpa)
@@ -813,17 +814,17 @@ class BaseSSD:
         """
         return now_us, False
 
-    def remap_migrated_page(self, oob, old_ppa: Ppa, new_ppa: Ppa):
+    def remap_migrated_page(self, lpa: Lba, old_ppa: Ppa, new_ppa: Ppa):
         """Point the mapping at the migrated copy (no invalidation hook).
 
-        Part of the GC-collaborator surface (with
-        :meth:`program_with_retry`): the TimeSSD reclaimer and the
-        FlashGuard defense run their own migration loops and remap
-        through here.
+        ``lpa`` is the migrated page's OOB LPA.  Part of the
+        GC-collaborator surface (with :meth:`program_with_retry`): the
+        TimeSSD reclaimer and the FlashGuard defense run their own
+        migration loops and remap through here.
         """
-        current = self.mapping.lookup(oob.lpa)
+        current = self.mapping.lookup(lpa)
         if current == old_ppa:
-            self.mapping.update(oob.lpa, new_ppa)
+            self.mapping.update(lpa, new_ppa)
 
     @atomic_section(
         "erase + release/retire + wear accounting commit together; a "

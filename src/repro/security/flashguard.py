@@ -92,7 +92,7 @@ class FlashGuardSSD(BaseSSD):
                 self.device.program_page(new_ppa, result.data, result.oob, now_us)  # almanac: ignore[layering-flash-api]
                 bm.mark_valid(new_ppa)
                 bm.invalidate_page(ppa)
-                self.remap_migrated_page(result.oob, ppa, new_ppa)
+                self.remap_migrated_page(result.lpa, ppa, new_ppa)
             elif ppa in self._retained_by_ppa:
                 version = self._retained_by_ppa.pop(ppa)
                 result = self.device.read_page(ppa, now_us)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import EraseFailureError, UncorrectableReadError
-from repro.flash.page import NULL_PPA, PageState
+from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.timessd.delta import NO_REF_TS, DeltaRecord
 
@@ -63,16 +63,15 @@ class TimeSSDGarbageCollector:
     def reclaim_block(self, victim_pba, now_us):
         """Reclaim one data block; returns a :class:`ReclaimOutcome`."""
         ssd = self._ssd
-        geo = ssd.device.geometry
+        core = ssd.device.core
         bm = ssd.block_manager
         index = ssd.index
         outcome = ReclaimOutcome(victim_pba)
         t = now_us
-        for ppa in geo.pages_of_block(victim_pba):
-            page = ssd.device.peek_page(ppa)
-            if page.state is not PageState.PROGRAMMED:
+        for ppa in ssd.device.geometry.pages_of_block(victim_pba):
+            if not core.state[ppa]:
                 continue
-            if page.oob is None or not page.oob.intact:
+            if not core.intact(ppa):
                 # Torn or burned program: nothing committed lives here,
                 # so there is no version to retain or compress.
                 outcome.discarded_garbage += 1
@@ -136,12 +135,12 @@ class TimeSSDGarbageCollector:
         new_ppa, t = ssd.program_with_retry(
             lambda: ssd.block_manager.allocate_page(StreamId.GC),
             result.data,
-            result.oob,
+            result.raw_oob,
             result.complete_us,
         )
         ssd.block_manager.mark_valid(new_ppa)
         ssd.block_manager.invalidate_page(ppa)
-        ssd.remap_migrated_page(result.oob, ppa, new_ppa)
+        ssd.remap_migrated_page(result.lpa, ppa, new_ppa)
         return t
 
     # --- Retained-version compression (Algorithm 1, lines 19-25) --------------

@@ -111,12 +111,14 @@ class TimeTravelIndex:
             # the delta chain, and the physical page may be a stale copy
             # at a reused address — not a trustworthy chain hop.
             return False
-        page = self._device.peek_page(ppa)
-        if page.state is not PageState.PROGRAMMED or page.oob is None:
+        # ``ppa`` is the back-pointer of an intact page, so it is a
+        # valid address: read the OOB columns without a page view.
+        core = self._device.core
+        if not core.state[ppa]:
             return False
-        if not page.oob.intact:
+        if not core.intact(ppa):
             return False  # torn/burned residue: never part of a chain
-        return page.oob.lpa == lpa and page.oob.timestamp_us < newer_ts
+        return core.lpa[ppa] == lpa and core.timestamp_us[ppa] < newer_ts
 
     def walk_data_chain(self, lpa: Lba, head_ppa: Ppa, now_us: TimeUs, include_head=True, until_ts=None):
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.

@@ -20,7 +20,7 @@ from repro.common.errors import (
     UncorrectableReadError,
 )
 from repro.common.units import Lba, Ppa, TimeUs, format_duration
-from repro.flash.page import NULL_PPA, PageState
+from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD
 from repro.timessd.bloom import TimeSegmentedBlooms
@@ -113,7 +113,7 @@ class TimeSSD(BaseSSD):
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)
         self.blooms.record_invalidation(old_ppa)
-        pba = self.device.geometry.block_of_page(old_ppa)
+        pba = old_ppa // self.device.geometry.pages_per_block
         self._retained_per_block[pba] += 1
         self.retained_pages += 1
         if not self.mapping.is_mapped(lpa):
@@ -143,7 +143,7 @@ class TimeSSD(BaseSSD):
 
     def note_page_no_longer_retained(self, ppa: Ppa):
         """A retained page expired or was compressed into the delta chain."""
-        pba = self.device.geometry.block_of_page(ppa)
+        pba = ppa // self.device.geometry.pages_per_block
         if self._retained_per_block[pba] > 0:
             self._retained_per_block[pba] -= 1
             self.retained_pages -= 1
@@ -361,14 +361,14 @@ class TimeSSD(BaseSSD):
         # compression still fits in the window.
         step_bound = 3 * timing.read_us + timing.delta_compress_us + timing.program_us
         t = start_us
+        core = self.device.core
         for pba in self._background_victims():
             for ppa in self.device.geometry.pages_of_block(pba):
                 if t + step_bound > deadline_us:
                     return t
-                page = self.device.peek_page(ppa)
-                if page.state is not PageState.PROGRAMMED:
+                if not core.state[ppa]:
                     continue
-                if page.oob is None or not page.oob.intact:
+                if not core.intact(ppa):
                     # Torn or burned residue of a crash-interrupted
                     # program: no committed version lives here, and the
                     # conservative recovery bloom answers "retained" for
